@@ -11,8 +11,7 @@ PIC communication volume and particle balance each induces.
 import numpy as np
 import pytest
 
-from repro.apps.fempic import FemPicConfig
-from repro.apps.fempic.distributed import DistributedFemPic
+from repro.apps.fempic import FemPicConfig, FemPicSimulation
 from repro.runtime import edge_cut
 
 from .common import write_result
@@ -21,12 +20,12 @@ METHODS = ["principal_direction", "rcb", "graph", "block"]
 NRANKS = 4
 
 
-def run(method: str) -> DistributedFemPic:
+def run(method: str) -> FemPicSimulation:
     from .common import quasineutral
     cfg = FemPicConfig(nx=3, ny=3, nz=12, lz=3.0, dt=0.3, n_steps=5,
                        plasma_den=4e3, n0=4e3)
     cfg = quasineutral(cfg, 150)
-    dist = DistributedFemPic(cfg, nranks=NRANKS, partition_method=method)
+    dist = FemPicSimulation(cfg, nranks=NRANKS, partition_method=method)
     dist.seed_uniform_plasma(150)
     dist.run()
     return dist
@@ -57,13 +56,13 @@ def test_ablation_partitioner(runs, benchmark):
              f"{'imbalance':>11}{'rebal. vol':>12}"]
     stats = {}
     for m, dist in runs.items():
-        cut = edge_cut(dist.gmesh.c2c, dist.cell_owner)
+        cut = edge_cut(dist.mesh.c2c, dist.cell_owner)
         mb = dist.comm.stats.total_bytes / 1e6
         counts = np.array([rk.parts.size for rk in dist.ranks])
         imb = counts.max() / max(counts.mean(), 1.0)
         # one-off cost of switching to the particle-balanced partition
         # the elastic runtime would pick at this point of the run
-        balanced = diffusive(dist.gmesh.centroids, NRANKS,
+        balanced = diffusive(dist.mesh.centroids, NRANKS,
                              weights=_particle_weights(dist))
         vol = migration_volume(dist.cell_owner, balanced)
         stats[m] = (cut, mb, imb, vol)

@@ -15,8 +15,7 @@ uses a distributed PETSc KSP).
 """
 import pytest
 
-from repro.apps.fempic import FemPicConfig
-from repro.apps.fempic.distributed import DistributedFemPic
+from repro.apps.fempic import FemPicConfig, FemPicSimulation
 from repro.perf import CLUSTERS, comm_time
 
 from .common import device_breakdown, write_result
@@ -37,19 +36,19 @@ F_PARTICLES = PAPER_PARTICLES / (CELLS_PER_RANK * PPC)
 F_COMM = F_CELLS ** (2.0 / 3.0) * (PAPER_PARTICLES / PAPER_CELLS) / PPC
 
 
-def run_weak(nranks: int) -> DistributedFemPic:
+def run_weak(nranks: int) -> FemPicSimulation:
     from .common import quasineutral
     cfg = FemPicConfig(nx=3, ny=3, nz=NZ_PER_RANK * nranks,
                        lz=1.0 * nranks, dt=0.2, n_steps=3,
                        plasma_den=4e3, n0=4e3)
     cfg = quasineutral(cfg, PPC)
-    dist = DistributedFemPic(cfg, nranks=nranks)
+    dist = FemPicSimulation(cfg, nranks=nranks)
     dist.seed_uniform_plasma(PPC)
     dist.run()
     return dist
 
 
-def step_time(dist: DistributedFemPic, system: str) -> float:
+def step_time(dist: FemPicSimulation, system: str) -> float:
     device = SYSTEMS[system]
     cluster = CLUSTERS[system]
     steps = dist.cfg.n_steps

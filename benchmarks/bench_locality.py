@@ -10,8 +10,9 @@ Three claims the CI gate pins (``BENCH_locality.json``):
    integer-valued data (on general floats ``np.add.reduceat``
    reassociates segment sums, so exactness-under-integer-data is the
    strongest machine-checkable form of "same sums, different order");
-3. fusing the FEM-PIC deposit into the move loop reproduces the
-   unfused physics and does not regress the step time.
+3. fusing the FEM-PIC deposit into the move loop (the whole-step
+   optimizer's Move+DepositCharge rewrite, ``program="fuse"``)
+   reproduces the unfused physics and does not regress the step time.
 
 Script mode (what CI runs)::
 
@@ -88,11 +89,14 @@ def timed_deposit(backend_options, repeats=DEPOSIT_REPEATS):
     return best, acc.data.copy()
 
 
-def timed_fempic(fused: bool, steps: int = 6):
+def timed_fempic(program: str, steps: int = 6):
+    """A seeded fempic run; ``program="fuse"`` gets the deposit fused
+    into the move by the whole-step optimizer's Move+DepositCharge
+    rewrite."""
     from repro.apps.fempic import FemPicConfig, FemPicSimulation
     cfg = FemPicConfig(nx=2, ny=2, nz=6, n_steps=steps, dt=0.3,
                        plasma_den=2e3, n0=2e3, backend="vec",
-                       move_strategy="dh", fuse_move=fused)
+                       move_strategy="dh", program=program)
     cell_volume = (cfg.lx * cfg.ly * cfg.lz) / cfg.n_cells
     cfg = cfg.scaled(spwt=cfg.n0 * cell_volume / 150)
     sim = FemPicSimulation(cfg)
@@ -112,8 +116,8 @@ def locality_payload() -> dict:
     t_sorted, acc_sorted = timed_deposit(
         {"backend": "vec", "locality": "always"})
 
-    t_plain, plain = timed_fempic(fused=False)
-    t_fused, fused = timed_fempic(fused=True)
+    t_plain, plain = timed_fempic("off")
+    t_fused, fused = timed_fempic("fuse")
     fused_ok = plain.parts.size == fused.parts.size and all(
         np.allclose(getattr(fused, a).data, getattr(plain, a).data,
                     rtol=1e-9, atol=1e-18)

@@ -11,8 +11,7 @@ traffic through the cluster network model; sync = load imbalance.
 
 from repro.apps.cabana import CabanaConfig
 from repro.apps.cabana.distributed import DistributedCabana
-from repro.apps.fempic import FemPicConfig
-from repro.apps.fempic.distributed import DistributedFemPic
+from repro.apps.fempic import FemPicConfig, FemPicSimulation
 from repro.perf import CLUSTERS, utilization
 
 from .common import total_time, write_result
@@ -48,7 +47,7 @@ def cabana_util(ppc: int, nranks: int, device: str, cluster: str) -> float:
 def fempic_util(nranks: int, device: str, cluster: str) -> float:
     cfg = FemPicConfig(nx=3, ny=3, nz=4 * max(nranks, 2), dt=0.25,
                        n_steps=4, plasma_den=4e3, n0=4e3)
-    dist = DistributedFemPic(cfg, nranks=nranks)
+    dist = FemPicSimulation(cfg, nranks=nranks)
     for rk in dist.ranks:  # populate to a realistic density
         pass
     dist.run()

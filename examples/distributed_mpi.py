@@ -4,6 +4,8 @@ Shows the paper's §3.2 machinery end to end: partitioning along the
 principal direction of ion motion, halo construction, the multi-hop move
 with particle packing / hole filling / migration, the direct-hop global
 move over an RMA-shared overlay, and the per-rank communication ledger.
+The single-rank reference and the N-rank runs are the same class,
+``FemPicSimulation``; only ``nranks`` differs.
 
 Run:  python examples/distributed_mpi.py [nranks]
 """
@@ -12,7 +14,6 @@ import sys
 import numpy as np
 
 from repro.apps.fempic import FemPicConfig, FemPicSimulation
-from repro.apps.fempic.distributed import DistributedFemPic
 
 
 def main():
@@ -24,8 +25,8 @@ def main():
     single.run()
 
     for strategy in ("mh", "dh"):
-        dist = DistributedFemPic(cfg.scaled(move_strategy=strategy),
-                                 nranks=nranks)
+        dist = FemPicSimulation(cfg.scaled(move_strategy=strategy),
+                                nranks=nranks)
         dist.run()
         err = abs(dist.history["field_energy"][-1]
                   - single.history["field_energy"][-1]) \

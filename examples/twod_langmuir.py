@@ -13,7 +13,7 @@ import argparse
 
 import numpy as np
 
-from repro.apps.twod import DistributedTwoD, TwoDConfig, TwoDSheetModel
+from repro.apps.twod import TwoDConfig, TwoDSheetModel
 
 
 def measured_wp(energy, dt):
@@ -42,7 +42,7 @@ def main(n_steps: int = 300):
     print(sim.ctx.perf.report("\nPer-kernel breakdown"))
 
     dist_steps = min(40, cfg.n_steps)
-    dist = DistributedTwoD(cfg.scaled(n_steps=dist_steps), nranks=3)
+    dist = TwoDSheetModel(cfg.scaled(n_steps=dist_steps), nranks=3)
     dist.run()
     err = abs(dist.history["field_energy"][-1]
               - sim.history["field_energy"][dist_steps - 1]) \

@@ -75,7 +75,8 @@ class _Rank:
 class DistributedCabana:
     """N-rank CabanaPIC; the application step is unchanged except that
     halo refresh / reduction calls appear between loops.  ``comm``
-    selects the rank transport (see :class:`DistributedFemPic`)."""
+    selects the rank transport (see
+    :class:`~repro.apps.fempic.FemPicSimulation`)."""
 
     def __init__(self, config: Optional[CabanaConfig] = None,
                  nranks: int = 2,

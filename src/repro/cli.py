@@ -65,8 +65,6 @@ def _build_parser() -> argparse.ArgumentParser:
     fp.add_argument("--nworkers", type=int, default=None, metavar="N",
                     help="worker processes for --backend mp")
     fp.add_argument("--move", default=None, choices=["mh", "dh"])
-    fp.add_argument("--fuse-move", action="store_true", default=None,
-                    help="fuse the charge deposit into the particle move")
     fp.add_argument("--program", default=None, choices=["off", "fuse"],
                     help="whole-step program optimizer: record each step "
                     "as a loop graph and execute it with fusion, gather "
@@ -280,7 +278,7 @@ def _run_fempic(args) -> int:
     cfg = _overlay(FemPicConfig(), args,
                    {"steps": "n_steps", "backend": "backend",
                     "move": "move_strategy", "mesh_file": "mesh_file",
-                    "fuse_move": "fuse_move", "program": "program"})
+                    "program": "program"})
     if args.ranks:
         if args.vtk:
             raise SystemExit("error: --vtk is not supported with --ranks")

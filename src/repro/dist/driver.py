@@ -1,11 +1,11 @@
 """Launch a distributed app over either rank transport.
 
 :func:`run_distributed` is the single entry point the CLI, the tests and
-the benchmarks share: the same application code
-(:class:`~repro.apps.fempic.distributed.DistributedFemPic`,
-:class:`~repro.apps.cabana.distributed.DistributedCabana`,
-:class:`~repro.apps.twod.distributed.DistributedTwoD`) runs either as an
-in-process simulation (``transport="sim"``) or as N real rank processes
+the benchmarks share: the same application class at every rank count
+(:class:`~repro.apps.fempic.FemPicSimulation`,
+:class:`~repro.apps.twod.TwoDSheetModel`, and CabanaPIC's
+:class:`~repro.apps.cabana.distributed.DistributedCabana`) runs either as
+an in-process simulation (``transport="sim"``) or as N real rank processes
 (``transport="proc"``), each rank free to use any on-node backend
 (``seq``/``vec``/``omp``/``mp`` — the MPI+X matrix).
 
@@ -41,8 +41,8 @@ def _build_app(spec: dict, comm):
     if spec.get("backend"):
         config = dataclasses.replace(config, backend=spec["backend"])
     if name == "fempic":
-        from ..apps.fempic.distributed import DistributedFemPic
-        return DistributedFemPic(
+        from ..apps.fempic import FemPicSimulation
+        return FemPicSimulation(
             config, comm=comm,
             partition_method=spec.get("partition_method")
             or "principal_direction",
@@ -54,8 +54,8 @@ def _build_app(spec: dict, comm):
             partition_method=spec.get("partition_method")
             or "principal_direction")
     if name == "twod":
-        from ..apps.twod.distributed import DistributedTwoD
-        return DistributedTwoD(config, comm=comm)
+        from ..apps.twod import TwoDSheetModel
+        return TwoDSheetModel(config, comm=comm)
     raise ValueError(f"unknown app {name!r}; expected one of "
                      f"{APP_NAMES}")
 
@@ -64,8 +64,7 @@ def _rank_perf(app) -> Dict[int, dict]:
     """Per-resident-rank loop stats as serializable dicts."""
     out = {}
     for r, rk in app._local():
-        ctx = rk["ctx"] if isinstance(rk, dict) else rk.ctx
-        out[r] = ctx.perf.to_dict()
+        out[r] = rk.ctx.perf.to_dict()
     return out
 
 
@@ -74,8 +73,7 @@ def _close_backends(app) -> None:
     worker pool) — a rank process that exits without this orphans its
     workers, and the orphans keep the launcher's pipes open."""
     for _r, rk in app._local():
-        ctx = rk["ctx"] if isinstance(rk, dict) else rk.ctx
-        close = getattr(ctx.backend, "close", None)
+        close = getattr(rk.ctx.backend, "close", None)
         if close is not None:
             close()
 

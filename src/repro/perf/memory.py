@@ -42,13 +42,26 @@ class MemoryReport:
         return "\n".join(lines)
 
 
+def _handle_holders(sim):
+    """(row prefix, object) pairs whose attributes hold DSL handles: the
+    app, its resident rank declarations and its gathered node system."""
+    ranks = [(r, rk) for r, rk in enumerate(getattr(sim, "ranks", ()))
+             if rk is not None]
+    holders = [("", sim)]
+    holders += [(f"r{r}." if len(ranks) > 1 else "", rk) for r, rk in ranks]
+    if getattr(sim, "system", None) is not None:
+        holders.append(("system.", sim.system))
+    return holders
+
+
 def memory_report(sim) -> MemoryReport:
     """Account every dat/map/overlay/plan reachable from a simulation
     object's attributes (works for all four applications)."""
     rep = MemoryReport(rows=[])
     seen = set()
-    for name in vars(sim):
-        obj = getattr(sim, name)
+    for name, obj in ((prefix + name, obj)
+                      for prefix, holder in _handle_holders(sim)
+                      for name, obj in vars(holder).items()):
         if id(obj) in seen:
             continue
         seen.add(id(obj))

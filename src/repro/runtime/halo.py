@@ -235,15 +235,18 @@ def _defer(op: str, dats: Sequence, plan: HaloPlan, comm: SimComm) -> bool:
 
 
 def push_cell_halos(dats: Sequence, plan: HaloPlan, comm: SimComm) -> None:
-    """Owner → ghost refresh of one cell dat per rank (``dats[r]``)."""
-    if _defer("cell_push", dats, plan, comm):
+    """Owner → ghost refresh of one cell dat per rank (``dats[r]``).
+    A plan without ghosts (one rank) does nothing — not even a program
+    trace node, which would split the loops around it."""
+    if not plan.cell_push or _defer("cell_push", dats, plan, comm):
         return
     _push(dats, plan.cell_push, comm, tag=1)
 
 
 def push_node_halos(dats: Sequence, plan: HaloPlan, comm: SimComm) -> None:
-    """Owner → ghost refresh of one node dat per rank."""
-    if _defer("node_push", dats, plan, comm):
+    """Owner → ghost refresh of one node dat per rank (no-op without
+    ghosts, as :func:`push_cell_halos`)."""
+    if not plan.node_push or _defer("node_push", dats, plan, comm):
         return
     _push(dats, plan.node_push, comm, tag=2)
 

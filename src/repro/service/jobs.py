@@ -23,11 +23,12 @@ The adapter table also gives the pool worker a uniform execution
 surface — ``build`` / ``step`` / ``history`` — plus the checkpoint
 payload used for preemption, migration and rank-failure recovery:
 :func:`job_checkpoint` captures the full restartable state (DSL dats,
-particle maps, RNG, scalar carries, history-so-far) and
+particle maps, RNG, injection carries, history-so-far) and
 :func:`job_restore` rebuilds a simulation mid-trajectory, bit-exactly.
 """
 from __future__ import annotations
 
+import copy
 import dataclasses
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Optional, Tuple
@@ -81,7 +82,8 @@ class AppAdapter:
     #: config fields tenants may not set (paths, nested dicts, physics
     #: with un-checkpointable runtime state)
     blocked: Tuple[str, ...] = ()
-    #: scalar attributes beyond rng/step_count the checkpoint must carry
+    #: attributes beyond rng/step_count the checkpoint must carry (copied,
+    #: so a running job cannot change a checkpoint it already took)
     extras: Tuple[str, ...] = ()
     #: whether checkpoints capture the full trajectory (preemption and
     #: kill-recovery are only offered for these apps)
@@ -430,7 +432,7 @@ def job_checkpoint(spec: JobSpec, sim, history, step: int) -> dict:
         "step": int(step),
         "state": state_payload(sim),
         "rng": None if rng is None else rng.bit_generator.state,
-        "extras": {name: getattr(sim, name)
+        "extras": {name: copy.deepcopy(getattr(sim, name))
                    for name in spec.adapter.extras},
         "history": {k: list(v) for k, v in history.items()},
     }
@@ -454,7 +456,7 @@ def job_restore(spec: JobSpec, ckpt: dict):
     if ckpt["rng"] is not None:
         sim.rng.bit_generator.state = ckpt["rng"]
     for name, value in ckpt["extras"].items():
-        setattr(sim, name, value)
+        setattr(sim, name, copy.deepcopy(value))
     step = int(ckpt["step"])
     if hasattr(sim, "step_count"):
         sim.step_count = step

@@ -5,15 +5,14 @@ captures every dat, the particle-to-cell map, the particle set size and
 the RNG state of a simulation object, and restores them bit-exactly so a
 restarted run continues the original trajectory.
 
-Works with any object that exposes its DSL handles as attributes (all
-four single-node apps do) *or* as mapping entries (the distributed twod
-app's per-rank dicts); the dats and maps are discovered automatically.
+Works with any object that exposes its DSL handles as attributes — a
+single-rank app's handles are those of its one rank declaration
+(``sim.ranks[0]``); the dats and maps are discovered automatically.
 The payload/restore helpers are shared with the distributed per-rank
 snapshots of :mod:`repro.elastic.recover`.
 """
 from __future__ import annotations
 
-from collections.abc import Mapping
 from pathlib import Path
 from typing import Union
 
@@ -31,11 +30,15 @@ _FORMAT = CHECKPOINT_FORMAT
 
 
 def _handles(sim):
-    """Discover the object's sets, dats and particle maps (the object's
-    DSL handles may be attributes or mapping entries)."""
-    items = sim.items() if isinstance(sim, Mapping) else vars(sim).items()
+    """Discover the object's sets, dats and particle maps."""
+    ranks = getattr(sim, "ranks", None)
+    if ranks is not None:
+        if len(ranks) != 1:
+            raise ValueError(f"cannot checkpoint a {len(ranks)}-rank app "
+                             "as one object; use repro.elastic snapshots")
+        sim = ranks[0]
     sets, dats, pmaps = {}, {}, {}
-    for name, obj in items:
+    for name, obj in vars(sim).items():
         if isinstance(obj, Dat):
             dats[name] = obj
         elif isinstance(obj, Map) and obj.is_particle_map:

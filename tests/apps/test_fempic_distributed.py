@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.apps.fempic import FemPicConfig, FemPicSimulation
-from repro.apps.fempic.distributed import DistributedFemPic
 
 CFG = FemPicConfig.smoke().scaled(n_steps=8, dt=0.2)
 
@@ -18,7 +17,7 @@ def single():
 
 @pytest.mark.parametrize("nranks", [1, 2, 3, 4])
 def test_matches_single_rank(single, nranks):
-    dist = DistributedFemPic(CFG, nranks=nranks)
+    dist = FemPicSimulation(CFG, nranks=nranks)
     dist.run()
     np.testing.assert_allclose(dist.history["field_energy"],
                                single.history["field_energy"], rtol=1e-10)
@@ -27,7 +26,7 @@ def test_matches_single_rank(single, nranks):
 
 
 def test_dh_distributed_matches(single):
-    dist = DistributedFemPic(CFG.scaled(move_strategy="dh"), nranks=3)
+    dist = FemPicSimulation(CFG.scaled(move_strategy="dh"), nranks=3)
     dist.run()
     np.testing.assert_allclose(dist.history["field_energy"],
                                single.history["field_energy"], rtol=1e-10)
@@ -39,7 +38,7 @@ def test_partitioner_robustness(single, method):
     over several ranks the per-rank injection streams (and rounding
     carries) differ from the single-rank run, so only statistical
     agreement is required."""
-    dist = DistributedFemPic(CFG, nranks=2, partition_method=method)
+    dist = FemPicSimulation(CFG, nranks=2, partition_method=method)
     dist.run()
     n_single = single.history["n_particles"][-1]
     n_dist = dist.history["n_particles"][-1]
@@ -53,7 +52,7 @@ def test_partitioner_robustness(single, method):
 
 
 def test_all_live_particles_in_owned_cells():
-    dist = DistributedFemPic(CFG, nranks=3)
+    dist = FemPicSimulation(CFG, nranks=3)
     dist.run()
     for rk in dist.ranks:
         live = rk.p2c.p2c[: rk.parts.size]
@@ -62,7 +61,7 @@ def test_all_live_particles_in_owned_cells():
 
 
 def test_comm_traffic_recorded():
-    dist = DistributedFemPic(CFG, nranks=2)
+    dist = FemPicSimulation(CFG, nranks=2)
     dist.run()
     assert dist.comm.stats.total_messages > 0
     assert dist.comm.stats.total_bytes > 0
@@ -70,8 +69,51 @@ def test_comm_traffic_recorded():
 
 
 def test_busy_seconds_per_rank_reported():
-    dist = DistributedFemPic(CFG, nranks=2)
+    dist = FemPicSimulation(CFG, nranks=2)
     dist.run()
     busy = dist.busy_seconds_per_rank()
     assert len(busy) == 2
     assert all(b > 0 for b in busy)
+
+
+def _assert_histories_match(a: dict, b: dict):
+    assert a.keys() == b.keys()
+    for key in a:
+        np.testing.assert_allclose(a[key], b[key], rtol=1e-10, err_msg=key)
+
+
+@pytest.fixture
+def other_duct(tmp_path):
+    from repro.mesh import duct_mesh
+    from repro.mesh.io import save_mesh
+    return str(save_mesh(duct_mesh(2, 2, 8, 1.0, 1.0, 4.0),
+                         tmp_path / "duct8.npz"))
+
+
+@pytest.mark.parametrize("field", ["injection_temperature", "mesh_file",
+                                   "program"])
+def test_config_field_acts_the_same_at_two_ranks(single, field,
+                                                 other_duct):
+    """Every config field the 1-rank run honours changes the 2-rank
+    trajectory the same way."""
+    value = {"injection_temperature": 0.5, "mesh_file": other_duct,
+             "program": "fuse"}[field]
+    cfg = CFG.scaled(**{field: value})
+    one = FemPicSimulation(cfg)
+    one.run()
+    two = FemPicSimulation(cfg, nranks=2)
+    two.run()
+    _assert_histories_match(two.history, one.history)
+    if field == "program":
+        assert two.program is not None and two.program.n_flushes > 0
+    else:
+        assert one.history != single.history
+    if field == "mesh_file":
+        assert two.mesh.n_cells == 6 * 2 * 2 * 8
+
+
+def test_collisions_refuse_several_ranks():
+    """MCC draws follow the rank-local particle order, so they cannot
+    act the same at N ranks: the field is refused by name."""
+    with pytest.raises(ValueError, match="collision_frequency"):
+        FemPicSimulation(CFG.scaled(collision_frequency=5.0), nranks=2)

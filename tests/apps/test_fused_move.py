@@ -1,6 +1,9 @@
 """Fused move+deposit: the deposit kernel rides along inside the move
 loop (per frontier round for cabana's segment currents, at settling time
 for FemPIC's node charge) and must reproduce the separate-loop physics.
+
+Cabana asks for it with ``fuse_move``; FemPIC gets it from the
+whole-step optimizer's Move+DepositCharge rewrite (``program="fuse"``).
 """
 import numpy as np
 import pytest
@@ -15,7 +18,7 @@ BACKENDS = [("seq", {}), ("vec", {}),
 def run_fempic(backend, options, fused, steps=4):
     cfg = FemPicConfig.smoke().scaled(
         backend=backend, backend_options=options, n_steps=steps,
-        fuse_move=fused)
+        program="fuse" if fused else "off")
     sim = FemPicSimulation(cfg)
     sim.run()
     return sim
@@ -42,8 +45,8 @@ def test_fempic_fused_matches_unfused(backend, options):
 
 
 def test_fempic_fused_seq_is_bit_identical():
-    """seq runs the deposit at the very same program point the unfused
-    DepositCharge loop would reach each particle: same FP order."""
+    """seq keeps the elemental FP order whether or not the optimizer
+    fuses: the fused run is bit-identical."""
     plain = run_fempic("seq", {}, fused=False)
     fused = run_fempic("seq", {}, fused=True)
     assert np.array_equal(fused.nw.data, plain.nw.data)

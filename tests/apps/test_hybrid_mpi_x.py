@@ -7,7 +7,6 @@ import pytest
 from repro.apps.cabana import CabanaConfig, StructuredCabanaReference
 from repro.apps.cabana.distributed import DistributedCabana
 from repro.apps.fempic import FemPicConfig, FemPicSimulation
-from repro.apps.fempic.distributed import DistributedFemPic
 
 CFG_FEM = FemPicConfig.smoke().scaled(n_steps=6, dt=0.2)
 CFG_CAB = CabanaConfig.smoke().scaled(n_steps=6)
@@ -29,7 +28,7 @@ def cab_reference():
 
 @pytest.mark.parametrize("backend", ["seq", "omp", "cuda", "hip"])
 def test_mpi_plus_x_fempic(fem_reference, backend):
-    dist = DistributedFemPic(CFG_FEM.scaled(backend=backend), nranks=2)
+    dist = FemPicSimulation(CFG_FEM.scaled(backend=backend), nranks=2)
     dist.run()
     np.testing.assert_allclose(dist.history["field_energy"],
                                fem_reference, rtol=1e-10)

@@ -66,11 +66,10 @@ def test_backends_match(backend):
 
 @pytest.mark.parametrize("nranks", [2, 3])
 def test_distributed_matches_single(nranks):
-    from repro.apps.twod.distributed import DistributedTwoD
     cfg = CFG.scaled(n_steps=15)
     single = TwoDSheetModel(cfg)
     single.run()
-    dist = DistributedTwoD(cfg, nranks=nranks)
+    dist = TwoDSheetModel(cfg, nranks=nranks)
     dist.run()
     a = np.array(dist.history["field_energy"])
     b = np.array(single.history["field_energy"])
@@ -79,6 +78,27 @@ def test_distributed_matches_single(nranks):
     # PIC traffic flows (migration + halos); solve ledger is separate
     assert dist.comm.stats.total_messages > 0
     assert dist.solve_stats.total_bytes > 0
+
+
+@pytest.mark.parametrize("field,value", [("displacement", 0.05),
+                                         ("seed", 3), ("dt", 0.04),
+                                         ("density", 2.0)])
+def test_config_field_acts_the_same_at_two_ranks(field, value):
+    """Every config field changes the 2-rank trajectory exactly as it
+    changes the 1-rank one (all history keys, same tolerance)."""
+    base = CFG.scaled(nx=8, ny=4, ppc=4, n_steps=6)
+    default = TwoDSheetModel(base)
+    default.run()
+    cfg = base.scaled(**{field: value})
+    one = TwoDSheetModel(cfg)
+    one.run()
+    two = TwoDSheetModel(cfg, nranks=2)
+    two.run()
+    assert one.history != default.history
+    assert two.history.keys() == one.history.keys()
+    for key in one.history:
+        np.testing.assert_allclose(two.history[key], one.history[key],
+                                   rtol=1e-12, err_msg=key)
 
 
 def test_lumped_node_areas_bit_equal_to_add_at_form():

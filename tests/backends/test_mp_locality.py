@@ -42,7 +42,7 @@ def build_deposit_world(rng, n_parts, n_cells=16, sort=False):
 
 def test_small_direct_loop_dispatches_instead_of_falling_back(mp_ctx):
     """Sub-``min_chunk`` loops without indirect-INC scatters dispatch on
-    the ``small_chunk`` floor — the BENCH_mp fallback-reduction clause."""
+    the ``small_chunk`` floor — the BENCH_baseline fallback-reduction clause."""
     with push_context(mp_ctx):
         s = decl_set(100)        # 100 < 2*512, but 100 >= 2*24
         x = decl_dat(s, 1, np.float64, np.arange(100.0))

@@ -5,13 +5,11 @@ import pytest
 
 from repro.apps.cabana import CabanaConfig
 from repro.apps.cabana.distributed import DistributedCabana
-from repro.apps.fempic import FemPicConfig
-from repro.apps.fempic.distributed import DistributedFemPic
-from repro.apps.twod.config import TwoDConfig
-from repro.apps.twod.distributed import DistributedTwoD
+from repro.apps.fempic import FemPicConfig, FemPicSimulation
+from repro.apps.twod import TwoDConfig, TwoDSheetModel
 from repro.dist.driver import run_distributed
 from repro.elastic import rebalance
-from repro.elastic.migrate import _get, node_owners
+from repro.elastic.migrate import node_owners
 from repro.runtime import SimComm
 
 
@@ -35,15 +33,15 @@ def _assemble(app):
                 n_nodes)
     for name in spec.get("globals", ()):
         out[f"global:{name}"] = sum(
-            _get(app.ranks[r], name).data.copy()
+            getattr(app.ranks[r], name).data.copy()
             for r in range(comm.nranks))
     cols, gcells = [], []
     for r in range(comm.nranks):
         rk = app.ranks[r]
-        n = _get(rk, "parts").size
+        n = rk.parts.size
         gcells.append(app.meshes[r].cells_global[
-            _get(rk, "p2c").p2c[:n]])
-        dats = [_get(rk, name).data for name in spec.get("part", ())]
+            rk.p2c.p2c[:n]])
+        dats = [getattr(rk, name).data for name in spec.get("part", ())]
         cols.append(np.column_stack(
             [d[:n].reshape(n, int(np.prod(d.shape[1:], dtype=np.int64)))
              for d in dats]))
@@ -58,7 +56,7 @@ def _owned_rows(app, name, pick, n_global):
     g = None
     for r in range(app.comm.nranks):
         ids, n = pick(app.meshes[r])
-        arr = _get(app.ranks[r], name).data
+        arr = getattr(app.ranks[r], name).data
         if g is None:
             g = np.zeros((n_global,) + arr.shape[1:], dtype=arr.dtype)
         g[ids[:n]] = arr[:n]
@@ -90,14 +88,14 @@ def _check_rebalance_preserves(app, steps):
 
 def test_fempic_rebalance_preserves_state():
     cfg = FemPicConfig.smoke().scaled(n_steps=0, dt=0.2)
-    app = DistributedFemPic(cfg, comm=SimComm(3))
+    app = FemPicSimulation(cfg, comm=SimComm(3))
     report = _check_rebalance_preserves(app, steps=4)
     assert report.n_nodes_moved > 0
     assert report.n_particles_moved > 0
 
 
 def test_twod_rebalance_preserves_state():
-    app = DistributedTwoD(TwoDConfig(n_steps=0), comm=SimComm(3))
+    app = TwoDSheetModel(TwoDConfig(n_steps=0), comm=SimComm(3))
     report = _check_rebalance_preserves(app, steps=3)
     assert report.n_particles_moved > 0
 
@@ -109,7 +107,7 @@ def test_cabana_rebalance_preserves_state():
 
 
 def test_rebalance_same_owner_is_noop():
-    app = DistributedTwoD(TwoDConfig(n_steps=0), comm=SimComm(2))
+    app = TwoDSheetModel(TwoDConfig(n_steps=0), comm=SimComm(2))
     app.step()
     report = rebalance(app, np.asarray(app.cell_owner).copy())
     assert (report.n_cells_moved, report.n_nodes_moved,
@@ -141,11 +139,11 @@ def test_controller_rebalances_and_keeps_histories():
     actually migrate, and the physics must be preserved."""
     from repro.elastic import ElasticController
     cfg = FemPicConfig.smoke().scaled(n_steps=0, dt=0.2)
-    base = DistributedFemPic(cfg, comm=SimComm(3))
+    base = FemPicSimulation(cfg, comm=SimComm(3))
     for _ in range(6):
         base.step()
 
-    app = DistributedFemPic(cfg, comm=SimComm(3))
+    app = FemPicSimulation(cfg, comm=SimComm(3))
     ctl = ElasticController(app, mode="always", check_every=2,
                             threshold=0.0, min_particles=1)
     ctl.run(6)

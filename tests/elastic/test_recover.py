@@ -11,28 +11,25 @@ import json
 import numpy as np
 import pytest
 
-from repro.apps.fempic import FemPicConfig
-from repro.apps.fempic.distributed import DistributedFemPic
-from repro.apps.twod.config import TwoDConfig
-from repro.apps.twod.distributed import DistributedTwoD
+from repro.apps.fempic import FemPicConfig, FemPicSimulation
+from repro.apps.twod import TwoDConfig, TwoDSheetModel
 from repro.dist.driver import run_distributed
 from repro.elastic import (latest_snapshot, restore_snapshot,
                            snapshot_step_dir, write_snapshot)
-from repro.elastic.migrate import _get
 from repro.runtime import SimComm
 
 CFG_FEM = FemPicConfig.smoke().scaled(n_steps=0, dt=0.2)
 
 
 def _total_particles(app):
-    return sum(_get(app.ranks[r], "parts").size
+    return sum(app.ranks[r].parts.size
                for r in range(app.comm.nranks))
 
 
 # -- snapshot directory protocol ----------------------------------------------
 
 def test_latest_snapshot_scans_and_prunes(tmp_path):
-    app = DistributedTwoD(TwoDConfig(n_steps=0), comm=SimComm(2))
+    app = TwoDSheetModel(TwoDConfig(n_steps=0), comm=SimComm(2))
     assert latest_snapshot(tmp_path) is None
     for step in (2, 4):
         app.step()
@@ -49,24 +46,24 @@ def test_latest_snapshot_scans_and_prunes(tmp_path):
 
 
 def test_manifest_format_mismatch_rejected(tmp_path):
-    app = DistributedTwoD(TwoDConfig(n_steps=0), comm=SimComm(2))
+    app = TwoDSheetModel(TwoDConfig(n_steps=0), comm=SimComm(2))
     app.step()
     snap = write_snapshot(app, 1, tmp_path)
     manifest = json.loads((snap / "manifest.json").read_text())
     manifest["format"] = 999
     (snap / "manifest.json").write_text(json.dumps(manifest))
     assert latest_snapshot(tmp_path) is None
-    fresh = DistributedTwoD(TwoDConfig(n_steps=0), comm=SimComm(2))
+    fresh = TwoDSheetModel(TwoDConfig(n_steps=0), comm=SimComm(2))
     with pytest.raises(ValueError, match="manifest"):
         restore_snapshot(fresh, snap)
 
 
 def test_snapshot_carries_elastic_state(tmp_path):
-    app = DistributedTwoD(TwoDConfig(n_steps=0), comm=SimComm(2))
+    app = TwoDSheetModel(TwoDConfig(n_steps=0), comm=SimComm(2))
     app.step()
     state = {"policy": {"mode": "auto"}, "n_rebalances": 3}
     snap = write_snapshot(app, 1, tmp_path, elastic_state=state)
-    fresh = DistributedTwoD(TwoDConfig(n_steps=0), comm=SimComm(2))
+    fresh = TwoDSheetModel(TwoDConfig(n_steps=0), comm=SimComm(2))
     step, restored = restore_snapshot(fresh, snap)
     assert step == 1
     assert restored == state
@@ -75,16 +72,16 @@ def test_snapshot_carries_elastic_state(tmp_path):
 # -- restore paths ------------------------------------------------------------
 
 def test_same_ranks_restore_is_bit_exact(tmp_path):
-    ref = DistributedFemPic(CFG_FEM, comm=SimComm(2))
+    ref = FemPicSimulation(CFG_FEM, comm=SimComm(2))
     for _ in range(8):
         ref.step()
 
-    half = DistributedFemPic(CFG_FEM, comm=SimComm(2))
+    half = FemPicSimulation(CFG_FEM, comm=SimComm(2))
     for _ in range(4):
         half.step()
     write_snapshot(half, 4, tmp_path)
 
-    resumed = DistributedFemPic(CFG_FEM, comm=SimComm(2))
+    resumed = FemPicSimulation(CFG_FEM, comm=SimComm(2))
     step, _ = restore_snapshot(resumed, latest_snapshot(tmp_path)[1])
     assert step == 4
     for _ in range(4):
@@ -97,18 +94,18 @@ def test_same_ranks_restore_is_bit_exact(tmp_path):
                                       err_msg=key)
     for r in range(2):
         np.testing.assert_array_equal(
-            _get(resumed.ranks[r], "phi").data,
-            _get(ref.ranks[r], "phi").data)
+            resumed.ranks[r].phi.data,
+            ref.ranks[r].phi.data)
         np.testing.assert_array_equal(
-            _get(resumed.ranks[r], "pos").data,
-            _get(ref.ranks[r], "pos").data)
+            resumed.ranks[r].pos.data,
+            ref.ranks[r].pos.data)
 
 
 def test_restore_onto_more_ranks_rejected(tmp_path):
-    app = DistributedTwoD(TwoDConfig(n_steps=0), comm=SimComm(2))
+    app = TwoDSheetModel(TwoDConfig(n_steps=0), comm=SimComm(2))
     app.step()
     snap = write_snapshot(app, 1, tmp_path)
-    grown = DistributedTwoD(TwoDConfig(n_steps=0), comm=SimComm(3))
+    grown = TwoDSheetModel(TwoDConfig(n_steps=0), comm=SimComm(3))
     with pytest.raises(ValueError, match="growing"):
         restore_snapshot(grown, snap)
 
@@ -117,13 +114,13 @@ def test_shrink_restore_conserves_particles(tmp_path):
     """3-rank snapshot onto 2 ranks: particles and owned rows survive
     the re-scatter, and the shrunken app keeps stepping."""
     cfg = TwoDConfig(n_steps=0)
-    app = DistributedTwoD(cfg, comm=SimComm(3))
+    app = TwoDSheetModel(cfg, comm=SimComm(3))
     for _ in range(3):
         app.step()
     n_before = _total_particles(app)
     snap = write_snapshot(app, 3, tmp_path)
 
-    small = DistributedTwoD(cfg, comm=SimComm(2))
+    small = TwoDSheetModel(cfg, comm=SimComm(2))
     step, _ = restore_snapshot(small, snap)
     assert step == 3
     assert _total_particles(small) == n_before
@@ -131,8 +128,8 @@ def test_shrink_restore_conserves_particles(tmp_path):
     # every particle landed on the rank that owns its cell
     for r in range(2):
         rk = small.ranks[r]
-        n = _get(rk, "parts").size
-        gcell = small.meshes[r].cells_global[_get(rk, "p2c").p2c[:n]]
+        n = rk.parts.size
+        gcell = small.meshes[r].cells_global[rk.p2c.p2c[:n]]
         assert (np.asarray(small.cell_owner)[gcell] == r).all()
     small.step()
 

@@ -3,7 +3,6 @@ import json
 
 
 from repro.apps.fempic import FemPicConfig, FemPicSimulation
-from repro.apps.fempic.distributed import DistributedFemPic
 from repro.perf import attach_trace, export_chrome_trace
 
 
@@ -33,7 +32,7 @@ def test_export_chrome_trace_json(tmp_path):
 
 def test_multi_rank_lanes(tmp_path):
     cfg = FemPicConfig.smoke().scaled(n_steps=3)
-    dist = DistributedFemPic(cfg, nranks=2)
+    dist = FemPicSimulation(cfg, nranks=2)
     logs = attach_trace(*[rk.ctx.perf for rk in dist.ranks])
     dist.run()
     path = export_chrome_trace(logs, tmp_path / "trace.json",
