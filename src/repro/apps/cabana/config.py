@@ -33,10 +33,6 @@ class CabanaConfig:
 
     n_steps: int = 20
     pusher: str = "boris"       # or velocity_verlet / vay / higuera_cary
-    #: run Move_Deposit through the runtime's fused move+deposit path
-    #: (walk kernel + per-hop deposit kernel) instead of the hand-fused
-    #: single kernel
-    fuse_move: bool = False
     backend: str = "vec"
     backend_options: dict = field(default_factory=dict)
     move_tolerance: float = 0.0

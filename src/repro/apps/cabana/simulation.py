@@ -78,8 +78,6 @@ class CabanaSimulation:
         self.vel = decl_dat(self.parts, 3, np.float64, None, "velocity")
         self.w = decl_dat(self.parts, 1, np.float64, None, "weight")
         self.pushed = decl_dat(self.parts, 1, np.float64, None, "push_flag")
-        #: per-hop segment current scratch for the fused move path
-        self.seg = decl_dat(self.parts, 3, np.float64, None, "seg_current")
 
         self.e_energy = decl_global(1, np.float64, name="e_energy")
         self.b_energy = decl_global(1, np.float64, name="b_energy")
@@ -127,24 +125,6 @@ class CabanaSimulation:
         self.pushed.data[:] = 0.0   # new step: every particle gets pushed
         if self.cfg.pusher != "boris":
             self.push()
-        if self.cfg.fuse_move:
-            # runtime-fused variant: the walk kernel emits each hop's
-            # segment current into ``seg`` and the runtime fires the
-            # deposit kernel per frontier round against the crossed cell
-            return particle_move(k.move_walk_kernel, "Move_Deposit",
-                                 self.parts, self.faces, self.p2c,
-                                 arg_dat(self.pos, OPP_RW),
-                                 arg_dat(self.disp, OPP_RW),
-                                 arg_dat(self.vel, OPP_RW),
-                                 arg_dat(self.w, OPP_READ),
-                                 arg_dat(self.pushed, OPP_RW),
-                                 arg_dat(self.interp, self.p2c, OPP_READ),
-                                 arg_dat(self.seg, OPP_WRITE),
-                                 deposit_kernel=k.deposit_current_kernel,
-                                 deposit_args=(
-                                     arg_dat(self.seg, OPP_READ),
-                                     arg_dat(self.acc, self.p2c, OPP_INC)),
-                                 deposit_when="hop")
         return particle_move(k.move_deposit_kernel, "Move_Deposit",
                              self.parts, self.faces, self.p2c,
                              arg_dat(self.pos, OPP_RW),

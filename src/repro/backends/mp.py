@@ -5,9 +5,10 @@ Every other CPU backend in this reproduction *simulates* its scheduling
 threads serialise on the GIL).  This backend executes OP-PIC's OpenMP
 strategy for real:
 
-* a **persistent worker pool** (``multiprocessing`` processes, forked
-  lazily on first use) executes contiguous chunks of each loop's
-  iteration space concurrently;
+* a **persistent worker pool** (processes started lazily on first use
+  by :func:`repro.util.procs.spawn`, one framed pipe each) executes
+  contiguous chunks of each loop's iteration space concurrently; a
+  worker that dies is an EOF on its pipe and fails the loop at once;
 * dats and maps are migrated into ``multiprocessing.shared_memory``
   segments (:meth:`~repro.core.dats.Dat.adopt_raw`), so workers read
   mesh/particle data **zero-copy** and write direct (unique-row)
@@ -36,8 +37,9 @@ from __future__ import annotations
 
 import atexit
 import os
-import queue
+import sys
 import traceback
+from multiprocessing import connection as mpc
 from time import perf_counter
 from typing import Dict, List, Optional, Tuple
 
@@ -48,6 +50,7 @@ from ..core.kernel import CONST, kernel_ref
 from ..core.loops import ParLoop
 from ..core.move import MoveLoop, MoveResult
 from ..core.types import AccessMode
+from ..util.procs import encode_frame, reap_procs, recv_frame, spawn
 from .vec import VecBackend
 
 __all__ = ["MpBackend"]
@@ -55,6 +58,13 @@ __all__ = ["MpBackend"]
 #: chunk sizes are rounded up to a multiple of this (cache-line-friendly
 #: blocks, mirroring the OP2 plan's block granularity)
 _BLOCK = 64
+
+#: frame kinds on a worker's pipe (the mp range of :mod:`repro.util.procs`)
+_K_TASK = 64
+_K_RESULT = 65
+#: tasks and results are not size-capped (chunk results grow with the
+#: particle count)
+_NO_LIMIT = sys.maxsize
 
 
 def _shared_memory():
@@ -349,10 +359,8 @@ def _run_move_chunk(msg: dict, attached: dict) -> dict:
             relocated = (int(np.count_nonzero(moving))
                          + int(np.count_nonzero(gone)))
         if dep_gen is not None:
-            if dep["when"] == "hop":
-                dpart, dcells = active, cells
-            else:                       # "done": settled this round
-                dpart, dcells = active[done], cells[done]
+            # deposit for the particles that settled this round
+            dpart, dcells = active[done], cells[done]
             if dpart.size:
                 coll = _run_move_deposit(dep, dep_gen, attached, scatters,
                                          dpart, dcells)
@@ -378,13 +386,13 @@ def _run_move_chunk(msg: dict, attached: dict) -> dict:
             "kernel_seconds": kernel_seconds}
 
 
-def _worker_main(worker_id: int, task_q, result_q) -> None:
-    """Pool process entry point: execute tasks until poisoned."""
+def _worker_main(conn, worker_id: int) -> None:
+    """Pool process entry point: execute tasks until the master's end of
+    the pipe closes (its attached segments unmap when the process
+    exits)."""
     attached: dict = {}
-    while True:
-        msg = task_q.get()
-        if msg is None:
-            break
+    while (frame := recv_frame(conn, _NO_LIMIT)) is not None:
+        msg = frame[4]
         out = {"worker": worker_id}
         try:
             t0 = perf_counter()
@@ -397,12 +405,8 @@ def _worker_main(worker_id: int, task_q, result_q) -> None:
             out["unresolvable"] = str(exc)
         except BaseException:
             out["error"] = traceback.format_exc()
-        result_q.put(out)
-    for shm, _view in attached.values():
-        try:
-            shm.close()
-        except OSError:  # pragma: no cover
-            pass
+        conn.send_bytes(encode_frame(_K_RESULT, worker_id, -1, 0, out,
+                                     _NO_LIMIT))
 
 
 # =========================================================================
@@ -488,13 +492,14 @@ class _Arena:
 
 
 class _Pool:
-    """Persistent worker processes with per-worker task queues."""
+    """Persistent worker processes, one framed pipe each.
 
-    def __init__(self, nworkers: int, start_method: Optional[str] = None):
-        import multiprocessing as mp
-        if start_method is None:
-            start_method = ("fork" if "fork" in mp.get_all_start_methods()
-                            else None)
+    The master submits every chunk of a loop before it collects any
+    result, so a task and a result never wait on each other in full
+    pipes.
+    """
+
+    def __init__(self, nworkers: int):
         # Start the resource tracker *before* forking so every worker
         # shares the master's tracker: attach-time registrations
         # (bpo-38119 on <= 3.12) then dedupe against the master's own,
@@ -504,44 +509,40 @@ class _Pool:
             resource_tracker.ensure_running()
         except Exception:  # pragma: no cover - tracker API shifted
             pass
-        self.ctx = mp.get_context(start_method)
         self.nworkers = nworkers
-        self.task_qs = [self.ctx.Queue() for _ in range(nworkers)]
-        self.result_q = self.ctx.Queue()
         self.procs = []
+        self.conns = []
         for i in range(nworkers):
-            p = self.ctx.Process(target=_worker_main,
-                                 args=(i, self.task_qs[i], self.result_q),
-                                 daemon=True, name=f"opp-mp-worker-{i}")
-            p.start()
-            self.procs.append(p)
+            proc, conn = spawn(_worker_main, (i,),
+                               name=f"opp-mp-worker-{i}")
+            self.procs.append(proc)
+            self.conns.append(conn)
 
     def submit(self, worker: int, msg: dict) -> None:
-        self.task_qs[worker].put(msg)
+        try:
+            self.conns[worker].send_bytes(
+                encode_frame(_K_TASK, -1, worker, 0, msg, _NO_LIMIT))
+        except OSError as exc:
+            raise RuntimeError(f"mp backend: worker {worker} is gone"
+                               ) from exc
 
     def collect(self, n: int) -> List[dict]:
         out = []
         while len(out) < n:
-            try:
-                out.append(self.result_q.get(timeout=1.0))
-            except queue.Empty:
-                if not all(p.is_alive() for p in self.procs):
+            for conn in mpc.wait(self.conns):
+                frame = recv_frame(conn, _NO_LIMIT)
+                if frame is None:
                     raise RuntimeError(
                         "mp backend: a worker process died unexpectedly")
+                out.append(frame[4])
         return out
 
     def close(self) -> None:
-        for q in self.task_qs:
-            try:
-                q.put(None)
-            except (OSError, ValueError):  # pragma: no cover
-                pass
-        for p in self.procs:
-            p.join(timeout=2.0)
-            if p.is_alive():  # pragma: no cover - stuck worker
-                p.terminate()
-                p.join(timeout=1.0)
+        for conn in self.conns:
+            conn.close()     # EOF tells each worker to exit
+        reap_procs(self.procs, join_timeout=2.0)
         self.procs = []
+        self.conns = []
 
 
 class MpBackend(VecBackend):
@@ -556,8 +557,7 @@ class MpBackend(VecBackend):
 
     def __init__(self, nworkers: Optional[int] = None,
                  strategy: str = "atomics", min_chunk: int = 512,
-                 small_chunk: int = 24,
-                 start_method: Optional[str] = None, **strategy_options):
+                 small_chunk: int = 24, **strategy_options):
         super().__init__(strategy=strategy, **strategy_options)
         if nworkers is None:
             nworkers = min(4, os.cpu_count() or 1)
@@ -567,7 +567,6 @@ class MpBackend(VecBackend):
         #: dispatch overhead is just the task round-trip, so loops far
         #: below ``min_chunk`` still parallelise instead of degrading
         self.small_chunk = max(int(small_chunk), 1)
-        self.start_method = start_method
         self._pool: Optional[_Pool] = None
         self._arena: Optional[_Arena] = None
         self._disabled = False
@@ -588,13 +587,14 @@ class MpBackend(VecBackend):
         if self._pool is not None:
             if all(p.is_alive() for p in self._pool.procs):
                 return True
-            self._pool = None  # pragma: no cover - crashed pool
+            self._pool.close()  # pragma: no cover - crashed pool
+            self._pool = None
         if _shared_memory() is None:
             self._disabled = True
             return False
         try:
             self._arena = self._arena or _Arena()
-            self._pool = _Pool(self.nworkers, self.start_method)
+            self._pool = _Pool(self.nworkers)
         except (OSError, ValueError, ImportError,
                 DeprecationWarning):  # pragma: no cover - degraded platform
             self._disabled = True
@@ -901,7 +901,7 @@ class MpBackend(VecBackend):
         if dep_ref is not None:
             # deposit INC targets share the same per-worker scatter
             # arrays (group numbering continues across both arg lists)
-            dep_msg = {"kernel": dep_ref, "when": loop.deposit.when,
+            dep_msg = {"kernel": dep_ref,
                        "args": [mk_desc(a) for a in loop.deposit.args]}
 
         p2c_spec = arena.share(loop.p2c_map)

@@ -153,10 +153,8 @@ class SeqBackend(Backend):
                 total_hops += 1
                 if hop == 1 and move.status != MoveStatus.MOVE_DONE:
                     relocated += 1      # left its starting cell (or domain)
-                if dep_kernel is not None and dep.when == "hop":
-                    run_deposit(p, int(cell))
                 if move.status == MoveStatus.MOVE_DONE:
-                    if dep_kernel is not None and dep.when == "done":
+                    if dep_kernel is not None:
                         run_deposit(p, int(cell))
                     p2c[p] = cell
                     break

@@ -428,10 +428,8 @@ class VecBackend(Backend):
                     + int(np.count_nonzero(gone))
 
             if dep_gen is not None:
-                if dep.when == "hop":
-                    dpart, dcells = active, cells
-                else:                     # "done": settled this round
-                    dpart, dcells = active[done], cells[done]
+                # deposit for the particles that settled this round
+                dpart, dcells = active[done], cells[done]
                 if dpart.size:
                     coll = self._run_move_deposit(dep, dep_gen, dpart,
                                                   dcells)

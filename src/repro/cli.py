@@ -90,9 +90,6 @@ def _build_parser() -> argparse.ArgumentParser:
     cb.add_argument("--pusher", default=None,
                     choices=["boris", "velocity_verlet", "vay",
                              "higuera_cary"])
-    cb.add_argument("--fuse-move", action="store_true", default=None,
-                    help="run Move_Deposit through the runtime-fused "
-                    "move+deposit path")
     cb.add_argument("--program", default=None, choices=["off", "fuse"],
                     help="whole-step program optimizer: record each step "
                     "as a loop graph and execute it with fusion, gather "
@@ -322,7 +319,7 @@ def _run_cabana(args) -> int:
     cfg = _overlay(CabanaConfig(), args,
                    {"steps": "n_steps", "ppc": "ppc",
                     "backend": "backend", "pusher": "pusher",
-                    "fuse_move": "fuse_move", "program": "program"})
+                    "program": "program"})
     if args.ranks:
         if args.validate:
             raise SystemExit(

@@ -99,30 +99,24 @@ class MoveResult:
 
 
 class MoveDeposit:
-    """A deposit kernel fused into a particle move (paper §3.3/§4:
-    CabanaPIC's current deposit runs *inside* the mover so particle
-    state is touched once per step).
+    """A deposit kernel fused into a particle move (paper §3.3/§4: the
+    deposit runs *inside* the mover so particle state is touched once
+    per step).
 
-    ``when`` selects the firing point within the frontier loop:
-
-    * ``"done"`` — once per particle, after it settles in its final cell
-      (electrostatic charge deposit: FEM-PIC's ``DepositCharge``);
-    * ``"hop"`` — every hop, against the cell currently being crossed
-      (electromagnetic segment-current deposit: CabanaPIC).
+    It fires once per particle, in the frontier round where the particle
+    settles in its final cell (electrostatic charge deposit: FEM-PIC's
+    ``DepositCharge``).  CabanaPIC's per-hop current deposit is
+    hand-fused into its move kernel instead.
 
     The kernel is an ordinary elemental particle kernel (no move
     context); its arguments follow the move-kernel addressing rules.
     """
 
-    __slots__ = ("kernel", "args", "when")
+    __slots__ = ("kernel", "args")
 
-    def __init__(self, kernel, args: Sequence[Arg], when: str = "done"):
-        if when not in ("done", "hop"):
-            raise ValueError(f"deposit_when must be 'done' or 'hop', "
-                             f"got {when!r}")
+    def __init__(self, kernel, args: Sequence[Arg]):
         self.kernel = as_kernel(kernel)
         self.args: List[Arg] = list(args)
-        self.when = when
 
 
 def deposit_fusion_conflict(args: Sequence[Arg],
@@ -237,7 +231,7 @@ def execute_moveloop(loop: MoveLoop, ctx) -> MoveResult:
     fpe = loop.kernel.flops_per_elem or 0.0
     inc_args = list(loop.args) + (list(deposit.args) if deposit else [])
     if deposit is not None:
-        result.extras.setdefault("fused_deposit", deposit.when)
+        result.extras.setdefault("fused_deposit", "done")
     ctx.perf.record_loop(loop.name, n=n, seconds=dt,
                          flops=fpe * result.total_hops,
                          nbytes=loop.bytes_per_hop() * result.total_hops,
@@ -273,8 +267,8 @@ class LazyMoveResult:
 def particle_move(kernel, name: str, pset: ParticleSet, c2c_map: Map,
                   p2c_map: Map, *args: Arg,
                   max_hops: int = DEFAULT_MAX_HOPS,
-                  deposit_kernel=None, deposit_args: Sequence[Arg] = (),
-                  deposit_when: str = "done") -> MoveResult:
+                  deposit_kernel=None, deposit_args: Sequence[Arg] = ()
+                  ) -> MoveResult:
     """Declare-and-execute a particle move (the ``opp_particle_move`` call).
 
     On a single rank this fully relocates every particle (multi-hop walk)
@@ -283,9 +277,8 @@ def particle_move(kernel, name: str, pset: ParticleSet, c2c_map: Map,
     application code does not change.
 
     ``deposit_kernel``/``deposit_args`` fuse a deposit into the move
-    (see :class:`MoveDeposit`): the backends run it per frontier round —
-    on settling particles (``deposit_when="done"``) or every hop
-    (``"hop"``) — so particle state is touched once.
+    (see :class:`MoveDeposit`): the backends run it per frontier round on
+    the particles that settled in it, so particle state is touched once.
 
     Under an active program trace the move is deferred like any other
     loop; the returned :class:`LazyMoveResult` flushes the trace on first
@@ -293,8 +286,7 @@ def particle_move(kernel, name: str, pset: ParticleSet, c2c_map: Map,
     """
     deposit = None
     if deposit_kernel is not None:
-        deposit = MoveDeposit(deposit_kernel, deposit_args,
-                              when=deposit_when)
+        deposit = MoveDeposit(deposit_kernel, deposit_args)
     loop = MoveLoop(kernel, name, pset, c2c_map, p2c_map, args,
                     max_hops=max_hops, deposit=deposit)
     from .loops import run_loop_hooks

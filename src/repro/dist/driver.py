@@ -25,7 +25,8 @@ import numpy as np
 
 from ..perf.timers import PerfRecorder
 from ..runtime.comm import CommStats, SimComm
-from .proc import DEFAULT_MAX_FRAME, DEFAULT_OP_TIMEOUT, ProcCluster
+from ..util.procs import DEFAULT_MAX_FRAME
+from .proc import DEFAULT_OP_TIMEOUT, ProcCluster
 from .transport import RankFailure, TRANSPORT_KINDS
 
 __all__ = ["run_distributed", "DistResult", "APP_NAMES"]

@@ -7,14 +7,10 @@ collectives (reducing contributions in rank order, so floating-point
 results match :class:`~repro.runtime.comm.SimComm` bitwise), and turns a
 dying rank into ``RANK_DOWN`` broadcasts instead of a silent hang.
 
-Wire format: each message is one length-prefixed frame —
-
-=======  ======================================================
-header   ``!4sBBiiiq`` = magic ``OPPC``, version, kind, src,
-         dst, tag, body length
-body     ``N`` + dtype/shape + raw bytes for numpy payloads,
-         ``P`` + pickle for control payloads
-=======  ======================================================
+Frames use the codec of :mod:`repro.util.procs` (kinds 0-31), and
+rank processes are launched by its :func:`~repro.util.procs.spawn`, so a
+rank that dies — even one running an ``mp`` worker pool — is an EOF on
+the router's end of its pipe.
 
 Fault model (every path ends in a structured
 :class:`~repro.dist.transport.RankFailure`, never a deadlock):
@@ -32,31 +28,23 @@ sending to it) cannot form.
 """
 from __future__ import annotations
 
-import os
-import pickle
 import queue
-import struct
 import threading
 import time
 import traceback
 from collections import deque
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
-import multiprocessing as mp
 from multiprocessing import connection as mpc
 
 import numpy as np
 
 from ..runtime.comm import SimComm
-from .transport import RankFailure
+from ..util.procs import (DEFAULT_MAX_FRAME, HEADER_SIZE, FrameError,
+                          RankFailure, decode_frame, encode_frame,
+                          recv_frame, reap_procs, spawn)
 
-__all__ = ["ProcTransport", "ProcCluster", "FrameError",
-           "encode_frame", "decode_frame", "reap_procs",
-           "DEFAULT_OP_TIMEOUT", "DEFAULT_MAX_FRAME"]
-
-_MAGIC = b"OPPC"
-_VERSION = 1
-_HEADER = struct.Struct("!4sBBiiiq")
+__all__ = ["ProcTransport", "ProcCluster", "DEFAULT_OP_TIMEOUT"]
 
 # frame kinds
 K_HELLO = 0        # child -> router: rank is up
@@ -68,90 +56,6 @@ K_ERROR = 5        # child -> router: rank raised, body = exception
 K_RANK_DOWN = 6    # router -> child: src rank died / was expelled
 
 DEFAULT_OP_TIMEOUT = 30.0
-DEFAULT_MAX_FRAME = 64 * 1024 * 1024
-
-
-class FrameError(ValueError):
-    """A frame violated the wire protocol (bad magic/version/length)."""
-
-
-def reap_procs(procs, join_timeout: float = 5.0) -> None:
-    """Deterministically reap rank/worker processes.
-
-    Join every process against one shared deadline, escalate stragglers
-    through ``terminate`` then ``kill``, and finally ``close`` each
-    :class:`multiprocessing.Process` so its OS resources (the process
-    object's sentinel fd and zombie entry) are released immediately
-    instead of at garbage-collection time.  Shared by
-    :class:`ProcCluster` and the service warm pool
-    (:mod:`repro.service.pool`), whose repeated pool recycling would
-    otherwise leak idle rank processes.
-    """
-    deadline = time.monotonic() + join_timeout
-    for p in procs:
-        p.join(timeout=max(0.1, deadline - time.monotonic()))
-    for p in procs:
-        if p.is_alive():
-            p.terminate()
-            p.join(timeout=2.0)
-        if p.is_alive():  # pragma: no cover - last resort
-            p.kill()
-            p.join(timeout=2.0)
-        p.close()
-
-
-# -- frame codec -------------------------------------------------------------------
-
-
-def _encode_body(obj) -> bytes:
-    """Numpy arrays travel as dtype+shape+raw bytes (no pickle on the
-    hot path); anything else — control dicts, exceptions — is pickled."""
-    if isinstance(obj, np.ndarray):
-        shape = obj.shape  # ascontiguousarray promotes 0-d to 1-d
-        a = np.ascontiguousarray(obj)
-        meta = pickle.dumps((a.dtype.str, shape))
-        return b"N" + struct.pack("!I", len(meta)) + meta + a.tobytes()
-    return b"P" + pickle.dumps(obj)
-
-
-def _decode_body(body: bytes):
-    if not body:
-        raise FrameError("empty frame body")
-    if body[:1] == b"N":
-        (mlen,) = struct.unpack_from("!I", body, 1)
-        dtype_str, shape = pickle.loads(body[5:5 + mlen])
-        arr = np.frombuffer(body[5 + mlen:], dtype=np.dtype(dtype_str))
-        return arr.reshape(shape).copy()
-    if body[:1] == b"P":
-        return pickle.loads(body[1:])
-    raise FrameError(f"unknown body marker {body[:1]!r}")
-
-
-def encode_frame(kind: int, src: int, dst: int, tag: int, obj,
-                 max_frame_bytes: int = DEFAULT_MAX_FRAME) -> bytes:
-    body = _encode_body(obj)
-    if len(body) > max_frame_bytes:
-        raise RankFailure(src, "oversized-frame",
-                          f"{len(body)} bytes > limit {max_frame_bytes}")
-    return _HEADER.pack(_MAGIC, _VERSION, kind, src, dst, tag,
-                        len(body)) + body
-
-
-def decode_frame(blob: bytes) -> Tuple[int, int, int, int, object]:
-    """Returns ``(kind, src, dst, tag, payload)``."""
-    if len(blob) < _HEADER.size:
-        raise FrameError(f"short frame: {len(blob)} bytes")
-    magic, version, kind, src, dst, tag, blen = _HEADER.unpack_from(blob)
-    if magic != _MAGIC:
-        raise FrameError(f"bad magic {magic!r}")
-    if version != _VERSION:
-        raise FrameError(f"protocol version {version}, expected "
-                         f"{_VERSION}")
-    body = blob[_HEADER.size:]
-    if len(body) != blen:
-        raise FrameError(f"length mismatch: header says {blen}, got "
-                         f"{len(body)}")
-    return kind, src, dst, tag, _decode_body(body)
 
 
 # -- the SPMD transport ------------------------------------------------------------
@@ -211,16 +115,15 @@ class ProcTransport(SimComm):
                               f"no frame within {self.op_timeout:.1f}s "
                               f"while waiting for {waiting_for}")
         try:
-            blob = self._conn.recv_bytes(
-                maxlength=self.max_frame_bytes + _HEADER.size + 64)
-        except EOFError as exc:
-            raise RankFailure(self.my_rank, "rank-dead",
-                              "router closed the connection") from exc
+            frame = recv_frame(self._conn, self.max_frame_bytes)
         except OSError as exc:
             raise RankFailure(self.my_rank, "oversized-frame",
                               f"incoming frame over "
                               f"{self.max_frame_bytes} bytes") from exc
-        kind, src, dst, tag, payload = decode_frame(blob)
+        if frame is None:
+            raise RankFailure(self.my_rank, "rank-dead",
+                              "router closed the connection")
+        kind, src, dst, tag, payload = frame
         if kind == K_P2P:
             self._p2p.setdefault((src, tag), deque()).append(payload)
         elif kind == K_COLL_RESULT:
@@ -309,17 +212,10 @@ class ProcTransport(SimComm):
 # -- rank-process entry ------------------------------------------------------------
 
 
-def _child_main(entry, rank: int, nranks: int, pipes, opts: dict,
-                args: tuple) -> None:
+def _rank_main(conn, entry, rank: int, nranks: int, opts: dict,
+               args: tuple) -> None:
     """Body of every rank process: build the transport, run ``entry``,
-    ship the result (or the exception) back, exit."""
-    # drop inherited pipe ends that belong to the router or to siblings,
-    # so a dying sibling produces a clean EOF at the router
-    for r, (parent_end, child_end) in enumerate(pipes):
-        parent_end.close()
-        if r != rank:
-            child_end.close()
-    conn = pipes[rank][1]
+    ship the result (or the exception) back."""
     try:
         transport = ProcTransport(nranks, rank, conn, **opts)
         payload = entry(transport, *args)
@@ -334,10 +230,6 @@ def _child_main(entry, rank: int, nranks: int, pipes, opts: dict,
             conn.send_bytes(encode_frame(K_ERROR, rank, -1, 0, exc))
         except Exception:
             pass
-        conn.close()
-        os._exit(1)
-    conn.close()
-    os._exit(0)
 
 
 # -- the router / cluster ----------------------------------------------------------
@@ -382,8 +274,7 @@ class ProcCluster:
 
     def __init__(self, nranks: int, entry, args: tuple = (),
                  op_timeout: float = DEFAULT_OP_TIMEOUT,
-                 max_frame_bytes: int = DEFAULT_MAX_FRAME,
-                 start_method: Optional[str] = None):
+                 max_frame_bytes: int = DEFAULT_MAX_FRAME):
         if nranks < 1:
             raise ValueError("need at least one rank")
         self.nranks = int(nranks)
@@ -391,33 +282,25 @@ class ProcCluster:
         self.args = tuple(args)
         self.op_timeout = float(op_timeout)
         self.max_frame_bytes = int(max_frame_bytes)
-        if start_method is None:
-            start_method = ("fork" if "fork"
-                            in mp.get_all_start_methods() else "spawn")
-        self._ctx = mp.get_context(start_method)
 
     def run(self) -> List[object]:
         """Launch, route, reap.  Returns per-rank results; raises the
         root-cause :class:`RankFailure` if any rank failed."""
-        ctx = self._ctx
-        pipes = [ctx.Pipe(duplex=True) for _ in range(self.nranks)]
         opts = {"op_timeout": self.op_timeout,
                 "max_frame_bytes": self.max_frame_bytes}
-        procs = [ctx.Process(target=_child_main,
-                             args=(self.entry, r, self.nranks, pipes,
-                                   opts, self.args),
-                             name=f"rank-{r}")
-                 for r in range(self.nranks)]
-        for p in procs:
-            p.start()
-        conns = []
-        for parent_end, child_end in pipes:
-            child_end.close()
-            conns.append(parent_end)
+        procs, conns = [], []
         try:
+            for r in range(self.nranks):
+                proc, conn = spawn(_rank_main,
+                                   (self.entry, r, self.nranks, opts,
+                                    self.args), name=f"rank-{r}")
+                procs.append(proc)
+                conns.append(conn)
             results, errors = self._route(conns)
         finally:
-            self._reap(procs, conns)
+            for conn in conns:
+                conn.close()
+            reap_procs(procs)
         if errors:
             # prefer the root cause: a dead/expelled rank over the
             # secondary failures its peers raised when they noticed
@@ -463,8 +346,8 @@ class ProcCluster:
                     try:
                         blob = conn.recv_bytes(
                             maxlength=self.max_frame_bytes
-                            + _HEADER.size + 64)
-                    except EOFError:
+                            + HEADER_SIZE + 64)
+                    except (EOFError, ConnectionResetError):
                         open_ranks.discard(r)
                         if r not in results and r not in errors:
                             self._expel(r, "process exited without a "
@@ -590,11 +473,3 @@ class ProcCluster:
                                 self.max_frame_bytes)
             for r in participants:
                 writers[r].post(blob)
-
-    def _reap(self, procs, conns) -> None:
-        for c in conns:
-            try:
-                c.close()
-            except OSError:
-                pass
-        reap_procs(procs)

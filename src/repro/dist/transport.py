@@ -20,10 +20,11 @@ Algorithm code never branches on the transport kind: it iterates
 the same loop a full simulation under ``sim`` and one SPMD rank's share
 under ``proc``.
 
-:class:`RankFailure` is the structured error every fault path resolves
-to — a dead peer, an expired per-operation deadline, or an oversized
-frame surface as an exception naming the rank and failure kind, never as
-a hang.
+:class:`RankFailure` (defined with the frame codec in
+:mod:`repro.util.procs`) is the structured error every fault path
+resolves to — a dead peer, an expired per-operation deadline, or an
+oversized frame surface as an exception naming the rank and failure
+kind, never as a hang.
 """
 from __future__ import annotations
 
@@ -32,40 +33,12 @@ from typing import Optional, Protocol, Sequence, runtime_checkable
 import numpy as np
 
 from ..runtime.comm import CommStats, SimComm
+from ..util.procs import RankFailure
 
 __all__ = ["Transport", "RankFailure", "create_transport",
            "TRANSPORT_KINDS"]
 
 TRANSPORT_KINDS = ("sim", "proc")
-
-
-class RankFailure(RuntimeError):
-    """A distributed operation failed in a structured, attributable way.
-
-    Parameters
-    ----------
-    rank:
-        The rank the failure is attributed to (the dead peer, the rank
-        whose deadline expired, the sender of the oversized frame).
-    kind:
-        One of ``"rank-dead"``, ``"timeout"``, ``"oversized-frame"``,
-        ``"protocol"``, ``"launch"``.
-    detail:
-        Human-readable context.
-    """
-
-    def __init__(self, rank: int, kind: str, detail: str = ""):
-        self.rank = int(rank)
-        self.kind = str(kind)
-        self.detail = str(detail)
-        msg = f"rank {rank}: {kind}"
-        if detail:
-            msg += f" ({detail})"
-        super().__init__(msg)
-
-    def __reduce__(self):
-        # keep rank/kind across pickling (ERROR frames ship these back)
-        return (self.__class__, (self.rank, self.kind, self.detail))
 
 
 @runtime_checkable

@@ -101,7 +101,7 @@ class MoveNode:
         dep = loop.deposit
         dep_sig = None
         if dep is not None:
-            dep_sig = (id(dep.kernel), dep.when,
+            dep_sig = (id(dep.kernel),
                        tuple(arg_signature(a) for a in dep.args))
         return ("move", id(loop.kernel), loop.name, id(loop.pset),
                 id(loop.c2c_map), id(loop.p2c_map), loop.max_hops,

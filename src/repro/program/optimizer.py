@@ -107,10 +107,10 @@ def _deposit_shared_dat_conflict(mv: MoveLoop, dloop) -> Optional[str]:
     """Why the deposit loop cannot fire inside the move's frontier walk.
 
     Direct (particle-row) sharing is safe: a lane's row is final when it
-    settles and the ``when="done"`` deposit fires after that round's
-    writeback.  Any dat the deposit addresses *indirectly* must be
-    untouched by the move itself — a mid-walk deposit would expose
-    partial accumulations to later move rounds (and vice versa)."""
+    settles and the fused deposit fires after that round's writeback.
+    Any dat the deposit addresses *indirectly* must be untouched by the
+    move itself — a mid-walk deposit would expose partial accumulations
+    to later move rounds (and vice versa)."""
     move_touch = {id(a.dat) for a in mv.args}
     for pos, a in enumerate(dloop.args):
         if a.is_global:
@@ -157,14 +157,14 @@ def _rewrite_move_deposits(nodes: List, rewrites: List[str],
                         mv.kernel, mv.name, mv.pset, mv.c2c_map, mv.p2c_map,
                         mv.args, max_hops=mv.max_hops,
                         deposit=MoveDeposit(cand.loop.kernel,
-                                            cand.loop.args, when="done"))
+                                            cand.loop.args))
                     node.touched_ids = node.touched_ids | cand.touched_ids
                     node.rewritten = True
                     out.pop(j)
                     out.pop(i)
                     out.insert(j - 1, node)
                     rewrites.append(f"{mv.name}+{cand.loop.name} -> "
-                                    "move deposit (when=done)")
+                                    "move deposit")
                 else:
                     skips.append((mv.name, cand.loop.name,
                                   f"deposit rewrite: {reason}"))

@@ -6,9 +6,10 @@ per-job cost of process spawn, module import, kernel translation and
 mesh/stiffness construction (via :mod:`repro.runtime.objcache`, enabled
 inside every worker) is paid once per worker instead of once per job.
 
-Frames reuse the :mod:`repro.dist.proc` wire codec — same header, same
-numpy/pickle body encoding — with a disjoint kind range (32+), so a
-service frame can never be mistaken for an SPMD rank frame.  Each
+Workers are launched, framed and reaped through :mod:`repro.util.procs`
+— the same substrate as rank processes and ``mp`` pool workers — with a
+disjoint kind range (32-63), so a service frame can never be mistaken
+for an SPMD rank frame.  Each
 worker runs **one job at a time**; between steps it polls its pipe for
 control frames, which is what makes preemption, cancellation and
 fault-injection (``PK_DIE``) responsive without threads in the worker.
@@ -17,9 +18,8 @@ Worker death (crash, kill-worker op, injected ``die_at_step``) surfaces
 as a clean EOF on the parent end, which :meth:`WarmPool.drain` turns
 into a synthetic ``PK_DOWN`` event; the server rescues the running job
 from its last streamed checkpoint and :meth:`WarmPool.ensure_target`
-respawns a replacement.  Workers are spawned strictly one at a time
-(pipe → fork → close child end) so no sibling ever inherits another
-worker's child pipe end — the EOF arrives the moment the worker dies.
+respawns a replacement.  The substrate's ``spawn`` keeps every pipe end
+in exactly one process, so the EOF arrives the moment the worker dies.
 """
 from __future__ import annotations
 
@@ -30,10 +30,8 @@ import traceback
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-import multiprocessing as mp
-
-from ..dist.proc import (DEFAULT_MAX_FRAME, _HEADER, FrameError,
-                         decode_frame, encode_frame, reap_procs)
+from ..util.procs import (DEFAULT_MAX_FRAME, FrameError, encode_frame,
+                          reap_procs, recv_frame, spawn)
 from .jobs import JobSpec, build_sim, job_checkpoint, job_restore, step_once
 
 __all__ = ["WarmPool", "WorkerHandle", "PoolEvent", "PK_RUN",
@@ -81,10 +79,8 @@ class _ExitWorker(Exception):
     pass
 
 
-def _send(conn, kind: int, worker_id: int, tag: int, payload,
-          max_frame_bytes: int = DEFAULT_MAX_FRAME) -> None:
-    conn.send_bytes(encode_frame(kind, worker_id, -1, tag, payload,
-                                 max_frame_bytes))
+def _send(conn, kind: int, worker_id: int, tag: int, payload) -> None:
+    conn.send_bytes(encode_frame(kind, worker_id, -1, tag, payload))
 
 
 def _close_backend(sim) -> None:
@@ -97,8 +93,10 @@ def _close_backend(sim) -> None:
 def _check_control(conn, worker_id: int, tag: int) -> None:
     """Between-steps control poll; raises to unwind the step loop."""
     while conn.poll(0):
-        kind, _, _, _, _ = decode_frame(
-            conn.recv_bytes(maxlength=DEFAULT_MAX_FRAME))
+        frame = recv_frame(conn)
+        if frame is None:      # the server is gone
+            raise _ExitWorker
+        kind = frame[0]
         if kind == PK_DIE:
             os._exit(_EXIT_KILLED)
         if kind == PK_PREEMPT:
@@ -174,18 +172,18 @@ def _run_job(conn, worker_id: int, tag: int, payload: dict) -> None:
             _close_backend(sim)
 
 
-def _worker_main(worker_id: int, conn) -> None:
-    """Persistent worker: serve PK_RUN frames until told to exit."""
+def _worker_main(conn, worker_id: int) -> None:
+    """Persistent worker: serve PK_RUN frames until told to exit (or
+    the server's end of the pipe closes)."""
     from ..runtime import objcache
     objcache.enable()
     try:
         _send(conn, PK_UP, worker_id, 0, {"pid": os.getpid()})
         while True:
-            try:
-                blob = conn.recv_bytes(maxlength=DEFAULT_MAX_FRAME)
-            except (EOFError, OSError):
+            frame = recv_frame(conn)
+            if frame is None:
                 break
-            kind, _, _, tag, payload = decode_frame(blob)
+            kind, _, _, tag, payload = frame
             if kind == PK_SHUTDOWN:
                 break
             if kind == PK_DIE:
@@ -198,11 +196,6 @@ def _worker_main(worker_id: int, conn) -> None:
             # stray preempt/cancel for a job that already ended: ignore
     finally:
         objcache.disable()
-        try:
-            conn.close()
-        except OSError:
-            pass
-    os._exit(0)
 
 
 # -- parent-side pool --------------------------------------------------------------
@@ -244,16 +237,11 @@ class WarmPool:
     """
 
     def __init__(self, n_workers: int = 2,
-                 start_method: Optional[str] = None,
                  max_frame_bytes: int = DEFAULT_MAX_FRAME):
         if n_workers < 1:
             raise ValueError("need at least one worker")
         self.target_size = int(n_workers)
         self.max_frame_bytes = int(max_frame_bytes)
-        if start_method is None:
-            start_method = ("fork" if "fork"
-                            in mp.get_all_start_methods() else "spawn")
-        self._ctx = mp.get_context(start_method)
         self._ids = itertools.count()
         self.workers: Dict[int, WorkerHandle] = {}
         self._dead_procs: List[object] = []
@@ -266,13 +254,8 @@ class WarmPool:
 
     def _spawn(self) -> WorkerHandle:
         wid = next(self._ids)
-        parent_end, child_end = self._ctx.Pipe(duplex=True)
-        proc = self._ctx.Process(target=_worker_main,
-                                 args=(wid, child_end),
-                                 name=f"pic-worker-{wid}")
-        proc.start()
-        child_end.close()
-        handle = WorkerHandle(wid, proc, parent_end)
+        proc, conn = spawn(_worker_main, (wid,), name=f"pic-worker-{wid}")
+        handle = WorkerHandle(wid, proc, conn)
         self.workers[wid] = handle
         return handle
 
@@ -324,7 +307,7 @@ class WarmPool:
                 encode_frame(kind, -1, handle.worker_id, tag, payload,
                              self.max_frame_bytes))
             return True
-        except (BrokenPipeError, OSError):
+        except OSError:
             return False
 
     def assign(self, worker_id: int, job_id: str, spec: JobSpec,
@@ -372,26 +355,21 @@ class WarmPool:
             return []
         events: List[PoolEvent] = []
         while True:
+            error = None
             try:
                 if not handle.conn.poll(0):
                     break
-                blob = handle.conn.recv_bytes(
-                    maxlength=self.max_frame_bytes + _HEADER.size + 64)
-            except (EOFError, OSError):
-                events.append(PoolEvent(PK_DOWN, worker_id, handle.tag,
-                                        {"job_id": handle.job_id}))
-                handle.state = "dead"
-                self._forget(handle)
-                return events
-            try:
-                kind, _, _, tag, payload = decode_frame(blob)
-            except FrameError as exc:  # pragma: no cover - defensive
+                frame = recv_frame(handle.conn, self.max_frame_bytes)
+            except (OSError, FrameError) as exc:
+                frame, error = None, str(exc)
+            if frame is None:
                 events.append(PoolEvent(PK_DOWN, worker_id, handle.tag,
                                         {"job_id": handle.job_id,
-                                         "error": str(exc)}))
+                                         "error": error}))
                 handle.state = "dead"
                 self._forget(handle)
                 return events
+            kind, _, _, tag, payload = frame
             if kind == PK_UP and handle.state == "starting":
                 handle.state = "idle"
             elif kind in (PK_DONE, PK_FAIL, PK_YIELD):

@@ -23,7 +23,7 @@ from .conformance import (Case, ConformanceFailure, compare_states,
                           shrink_case)
 from .dist_conformance import (DistCase, DistConformanceFailure,
                                generate_dist_case, run_dist_case,
-                               run_dist_conformance, shrink_dist_case)
+                               run_dist_conformance)
 
 __all__ = [
     "SanitizerBackend", "Violation", "DescriptorViolationError",
@@ -33,5 +33,5 @@ __all__ = [
     "compare_states", "shrink_case", "run_conformance",
     "generate_program_case", "run_program_conformance",
     "DistCase", "DistConformanceFailure", "generate_dist_case",
-    "run_dist_case", "shrink_dist_case", "run_dist_conformance",
+    "run_dist_case", "run_dist_conformance",
 ]

@@ -117,6 +117,23 @@ class Case:
                 f"nodes={self.n_nodes} arity={self.arity} "
                 f"parts={self.n_parts} program=[{', '.join(self.program)}]")
 
+    def shrink_candidates(self):
+        """Smaller variants of this case, most aggressive first (the
+        candidates :func:`shrink_case` tries)."""
+        if len(self.program) > 1:
+            for i in range(len(self.program)):
+                yield self.replace(program=self.program[:i]
+                                   + self.program[i + 1:])
+        if self.n_parts > 4:
+            yield self.replace(n_parts=max(4, self.n_parts // 2))
+            yield self.replace(n_parts=self.n_parts - 1)
+        if self.n_cells > 4:
+            yield self.replace(n_cells=self.n_cells - 1)
+        if self.n_nodes > 4:
+            yield self.replace(n_nodes=self.n_nodes - 1)
+        if self.arity > 2:
+            yield self.replace(arity=self.arity - 1)
+
     def __repr__(self) -> str:
         return f"<Case {self.signature()}>"
 
@@ -518,41 +535,29 @@ def _case_fails(case: Case, oracle, backend) -> List[str]:
     return compare_states(expected, got)
 
 
-def shrink_case(case: Case, oracle, backend, max_rounds: int = 40,
-                fails: Callable[[Case, object, object], List[str]]
-                = _case_fails) -> Tuple[Case, List[str]]:
-    """Greedy minimisation: keep applying the first shrinking candidate
-    that still reproduces the mismatch.  ``fails`` abstracts how a case
-    is judged (the program sweep substitutes its optimized-vs-eager
-    comparison)."""
-    mismatches = fails(case, oracle, backend)
+def shrink_case(case, *context, max_rounds: int = 40,
+                fails: Callable[..., List[str]] = _case_fails):
+    """Greedy minimisation: keep applying the first of
+    ``case.shrink_candidates()`` that still reproduces the mismatch.
+
+    The one shrinker for every case kind: ``fails(candidate, *context)``
+    judges a case (default: ``context = (oracle, backend)`` and the
+    oracle comparison; the program sweep substitutes its
+    optimized-vs-eager comparison, the distributed sweep its
+    partitioned-vs-1-rank one).  Returns ``(minimal case, its
+    mismatches)``."""
+    mismatches = fails(case, *context)
     if not mismatches:
         return case, mismatches
     for _ in range(max_rounds):
-        for candidate in _shrink_candidates(case):
-            cand_mismatches = fails(candidate, oracle, backend)
+        for candidate in case.shrink_candidates():
+            cand_mismatches = fails(candidate, *context)
             if cand_mismatches:
                 case, mismatches = candidate, cand_mismatches
                 break
         else:
             break
     return case, mismatches
-
-
-def _shrink_candidates(case: Case):
-    if len(case.program) > 1:
-        for i in range(len(case.program)):
-            yield case.replace(program=case.program[:i]
-                               + case.program[i + 1:])
-    if case.n_parts > 4:
-        yield case.replace(n_parts=max(4, case.n_parts // 2))
-        yield case.replace(n_parts=case.n_parts - 1)
-    if case.n_cells > 4:
-        yield case.replace(n_cells=case.n_cells - 1)
-    if case.n_nodes > 4:
-        yield case.replace(n_nodes=case.n_nodes - 1)
-    if case.arity > 2:
-        yield case.replace(arity=case.arity - 1)
 
 
 def run_conformance(n_cases: int = 60, seed: int = 0,

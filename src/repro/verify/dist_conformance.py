@@ -22,8 +22,10 @@ The recipe mirrors the backend harness:
    the oracle — and the *assembled* global state (owned dat rows
    scattered back to global ids, particles keyed by a persistent id,
    collective-reduction histories, removal counts) is compared;
-3. on a mismatch a greedy shrinker minimises the case — dropping ops,
-   shrinking mesh/particles, reducing the rank count — and the failure
+3. on a mismatch the harness's one greedy shrinker
+   (:func:`~repro.verify.conformance.shrink_case`) minimises the case —
+   dropping ops, shrinking mesh/particles, reducing the rank count — and
+   the failure
    names the minimal case plus a one-command reproduction.
 
 Every case is fully derived from its integer seed, so
@@ -49,10 +51,10 @@ from ..runtime.halo import (build_rank_meshes, push_cell_halos,
                             push_node_halos, reduce_cell_halos,
                             reduce_node_halos)
 from . import kernels as K
-from .conformance import compare_states
+from .conformance import compare_states, shrink_case
 
 __all__ = ["DistCase", "DistConformanceFailure", "generate_dist_case",
-           "run_dist_case", "shrink_dist_case", "run_dist_conformance",
+           "run_dist_case", "run_dist_conformance",
            "DIST_OP_NAMES"]
 
 
@@ -85,6 +87,26 @@ class DistCase:
                 f"nodes={self.n_nodes} arity={self.arity} "
                 f"parts={self.n_parts} ranks={self.nranks} "
                 f"program=[{', '.join(self.program)}]")
+
+    def shrink_candidates(self):
+        """Smaller variants of this case for
+        :func:`~repro.verify.conformance.shrink_case`; every rank keeps
+        at least one chain cell."""
+        if len(self.program) > 1:
+            for i in range(len(self.program)):
+                yield self.replace(program=self.program[:i]
+                                   + self.program[i + 1:])
+        if self.nranks > 2:
+            yield self.replace(nranks=self.nranks - 1)
+        if self.n_parts > 4:
+            yield self.replace(n_parts=max(4, self.n_parts // 2))
+            yield self.replace(n_parts=self.n_parts - 1)
+        if self.n_cells > max(4, self.nranks):
+            yield self.replace(n_cells=self.n_cells - 1)
+        if self.n_nodes > 4:
+            yield self.replace(n_nodes=self.n_nodes - 1)
+        if self.arity > 2:
+            yield self.replace(arity=self.arity - 1)
 
     def __repr__(self) -> str:
         return f"<DistCase {self.signature()}>"
@@ -569,43 +591,6 @@ def _case_fails(case: DistCase, transport: str) -> List[str]:
                           run_dist_case(case, transport))
 
 
-def shrink_dist_case(case: DistCase, transport: str = "sim",
-                     max_rounds: int = 40
-                     ) -> Tuple[DistCase, List[str]]:
-    """Greedy minimisation: keep the first shrinking candidate that
-    still reproduces the mismatch."""
-    mismatches = _case_fails(case, transport)
-    if not mismatches:
-        return case, mismatches
-    for _ in range(max_rounds):
-        for candidate in _shrink_candidates(case):
-            cand_mismatches = _case_fails(candidate, transport)
-            if cand_mismatches:
-                case, mismatches = candidate, cand_mismatches
-                break
-        else:
-            break
-    return case, mismatches
-
-
-def _shrink_candidates(case: DistCase):
-    if len(case.program) > 1:
-        for i in range(len(case.program)):
-            yield case.replace(program=case.program[:i]
-                               + case.program[i + 1:])
-    if case.nranks > 2:
-        yield case.replace(nranks=case.nranks - 1)
-    if case.n_parts > 4:
-        yield case.replace(n_parts=max(4, case.n_parts // 2))
-        yield case.replace(n_parts=case.n_parts - 1)
-    if case.n_cells > max(4, case.nranks):
-        yield case.replace(n_cells=case.n_cells - 1)
-    if case.n_nodes > 4:
-        yield case.replace(n_nodes=case.n_nodes - 1)
-    if case.arity > 2:
-        yield case.replace(arity=case.arity - 1)
-
-
 def run_dist_conformance(n_cases: int = 25, seed: int = 0,
                          transport: str = "sim",
                          progress: Optional[Callable[[str], None]] = None,
@@ -622,8 +607,8 @@ def run_dist_conformance(n_cases: int = 25, seed: int = 0,
         if mismatches:
             shrunk = case
             if shrink:
-                shrunk, shrunk_mismatches = shrink_dist_case(case,
-                                                             transport)
+                shrunk, shrunk_mismatches = shrink_case(
+                    case, transport, fails=_case_fails)
                 if shrunk_mismatches:
                     mismatches = shrunk_mismatches
             raise DistConformanceFailure(transport, case, shrunk,

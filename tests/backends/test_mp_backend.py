@@ -4,7 +4,11 @@ These tests force the parallel path with ``min_chunk=1`` so even tiny
 test sets are split across workers, and check the graceful-degradation
 paths (``nworkers=1``, unresolvable kernels) fall back to ``vec``.
 """
+import os
 import pickle
+import signal
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -309,3 +313,26 @@ def test_arena_scatter_survives_id_reuse_with_different_shape():
         assert tuple(arena.scatter(grown, 0)[1]) == (16, 1)
     finally:
         arena.close()
+
+
+# -- worker death ------------------------------------------------------------
+
+
+def test_killed_worker_fails_the_wait_at_once():
+    """A worker SIGKILLed while the master waits on a loop's chunks is an
+    EOF on its pipe: the wait raises at once, not at a periodic poll."""
+    from repro.backends.mp import _Pool
+    pool = _Pool(2)
+    delay = 0.2
+    killer = threading.Timer(delay, os.kill,
+                             (pool.procs[0].pid, signal.SIGKILL))
+    try:
+        killer.start()
+        t0 = time.monotonic()
+        with pytest.raises(RuntimeError, match="died"):
+            pool.collect(1)
+        noticed = time.monotonic() - t0 - delay
+    finally:
+        killer.join()
+        pool.close()
+    assert noticed < 0.5

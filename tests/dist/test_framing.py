@@ -4,11 +4,12 @@ import pickle
 import numpy as np
 import pytest
 
-from repro.dist.proc import (DEFAULT_MAX_FRAME, FrameError, K_P2P,
-                             decode_frame, encode_frame)
+from repro.dist.proc import K_P2P
 from repro.dist.transport import (RankFailure, TRANSPORT_KINDS,
                                   create_transport)
 from repro.runtime.comm import SimComm
+from repro.util.procs import (DEFAULT_MAX_FRAME, FrameError, decode_frame,
+                              encode_frame)
 
 
 @pytest.mark.parametrize("payload", [

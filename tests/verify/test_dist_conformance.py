@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import repro.verify.dist_conformance as dc
+from repro.verify.conformance import shrink_case
 from repro.verify.dist_conformance import (DIST_OP_NAMES, DistCase,
                                            DistConformanceFailure,
                                            generate_dist_case,
@@ -91,3 +92,19 @@ def test_unknown_transport_rejected():
     case = generate_dist_case(1)
     with pytest.raises(ValueError, match="transport"):
         run_dist_case(case, "tcp")
+
+
+def test_shared_shrinker_minimises_a_dist_case_without_ranks():
+    """DistCase supplies its own candidates to the one greedy shrinker;
+    a synthetic judgement needs no rank at all."""
+    def fails(case):
+        return ["move ran"] if "move" in case.program else []
+
+    case = generate_dist_case(2)
+    assert "move" in case.program and len(case.program) > 1
+    assert case.nranks == 3
+    shrunk, mismatches = shrink_case(case, fails=fails)
+    assert mismatches == ["move ran"]
+    assert shrunk.to_dict() == DistCase(
+        seed=2, n_cells=4, n_nodes=4, arity=2, n_parts=4, nranks=2,
+        program=("move",)).to_dict()
